@@ -12,9 +12,9 @@ run at paper scale (10^5 files) is far too slow to fit inside a time bin, so
   **reduced active set** (:class:`ActiveSetProjection`): at a converged
   solution the vast majority of ``pi`` coordinates sit exactly on a box
   bound, and under a rate perturbation almost all of them stay there, so the
-  projection -- the dominant per-iteration cost, ~40 bisection evaluations
-  each touching every coordinate -- only pays for the few coordinates that
-  were strictly interior;
+  projection -- the dominant per-iteration cost, a handful of Newton
+  evaluations of the coupling multiplier each touching every coordinate --
+  only pays for the few coordinates that were strictly interior;
 * a short full-space verification run then confirms the frozen coordinates
   were in fact optimal; if it still finds descent beyond a small budget, the
   resolver falls back to a full-space solve from the current iterate
@@ -64,8 +64,12 @@ from repro.core.algorithm import build_placement
 from repro.core.model import StorageSystemModel
 from repro.core.placement import CachePlacement
 from repro.core.prob_pi import solve_fista
-from repro.core.vectorized import VectorizedSystem, _piecewise_clip_sum_inverse
-from repro.exceptions import ControlError, InfeasibleError
+from repro.core.vectorized import (
+    VectorizedSystem,
+    _coupling_multiplier,
+    _per_segment_projection,
+)
+from repro.exceptions import ControlError
 from repro.kernels import segment_sum
 
 
@@ -75,10 +79,11 @@ class ActiveSetProjection:
     Coordinates of the reference solution that sit on a box bound
     (``pi <= epsilon`` or ``pi >= 1 - epsilon``) are frozen at their
     rounded values; the projection then only solves for the free
-    coordinates, mirroring :meth:`VectorizedSystem.project` (coupling
-    constraint dualised with a bisected multiplier ``nu``, per-file shifts
-    via the exact segmented breakpoint solver) over arrays that are
-    typically 10-20x smaller.  Instances are callables mapping a full pair
+    coordinates with the same two exact steps as
+    :meth:`VectorizedSystem.project` (the coupling multiplier ``nu`` by
+    :func:`~repro.core.vectorized._coupling_multiplier`, the per-file shifts
+    by the segmented breakpoint solver) over arrays that are typically
+    10-20x smaller.  Instances are callables mapping a full pair
     vector to its projection onto ``{x : x[frozen] = fixed, x[free] in the
     reduced polytope}``, which is the shape the ``projector`` hook of
     :func:`repro.core.prob_pi.solve_fista` expects.
@@ -143,67 +148,30 @@ class ActiveSetProjection:
         return out
 
     # ------------------------------------------------------------------
-    # Reduced-space projection (mirrors VectorizedSystem.project)
+    # Reduced-space projection (the helpers of VectorizedSystem.project)
     # ------------------------------------------------------------------
 
     def _segment_sums(self, values: np.ndarray) -> np.ndarray:
         return segment_sum(values, self._offsets)
 
     def _project_free(self, values: np.ndarray) -> np.ndarray:
-        target_total = self._target_total
-        work = np.empty_like(values)
-
-        def projected_total(nu: float) -> float:
-            np.add(values, nu, out=work)
-            np.clip(work, 0.0, 1.0, out=work)
-            sums = self._segment_sums(work)
-            np.clip(sums, self._lower, self._upper, out=sums)
-            return float(sums.sum())
-
-        if target_total <= projected_total(0.0) + 1e-9:
-            return self._per_file_projection(values)
-
-        max_total = float(self._upper.sum())
-        if target_total > max_total + 1e-9:
-            raise InfeasibleError(
-                "active-set projection cannot meet the cache-capacity "
-                f"constraint: requires total {target_total:.3f} over the free "
-                f"coordinates but their bounds only allow {max_total:.3f}"
-            )
-        nu_low, nu_high = 0.0, 2.0
-        for _ in range(40):
-            if projected_total(nu_high) >= target_total - 1e-9:
-                break
-            nu_high *= 2.0
-        while nu_high - nu_low > 1e-11 * max(1.0, nu_high):
-            nu_mid = 0.5 * (nu_low + nu_high)
-            if projected_total(nu_mid) < target_total:
-                nu_low = nu_mid
-            else:
-                nu_high = nu_mid
-        return self._per_file_projection(values + nu_high)
-
-    def _per_file_projection(self, values: np.ndarray) -> np.ndarray:
-        projected = np.clip(values, 0.0, 1.0)
-        sums = self._segment_sums(projected)
-        below = sums < self._lower - 1e-12
-        above = sums > self._upper + 1e-12
-        needs_shift = below | above
-        if not np.any(needs_shift):
-            return projected
-        targets = np.where(below, self._lower, self._upper)
-        member = needs_shift[self._inverse]
-        violating = np.flatnonzero(needs_shift)
-        segment_counts = self._counts[violating]
-        segment_targets = np.clip(
-            targets[violating], 0.0, segment_counts.astype(float)
+        nu, _ = _coupling_multiplier(
+            values,
+            self._segment_sums,
+            self._inverse,
+            self._counts,
+            self._lower,
+            self._upper,
+            self._target_total,
         )
-        theta = _piecewise_clip_sum_inverse(
-            values[member], segment_counts, segment_targets
+        return _per_segment_projection(
+            values + nu,
+            self._segment_sums,
+            self._inverse,
+            self._counts,
+            self._lower,
+            self._upper,
         )
-        shift = np.zeros(needs_shift.size)
-        shift[violating] = theta
-        return np.clip(values + shift[self._inverse], 0.0, 1.0)
 
 
 def round_allocation(system: VectorizedSystem, pi: np.ndarray) -> np.ndarray:

@@ -59,8 +59,6 @@ def solve_projected_gradient(
     lower_sums: np.ndarray,
     upper_sums: np.ndarray,
     initial_pi: Optional[np.ndarray] = None,
-    fixed_mask: Optional[np.ndarray] = None,
-    fixed_values: Optional[np.ndarray] = None,
     max_iterations: int = 120,
     tolerance: float = 1e-6,
     initial_step: float = 1.0,
@@ -78,8 +76,6 @@ def solve_projected_gradient(
         Per-file bounds ``K_L,i`` / ``K_U,i`` on ``sum_j pi_{i,j}``.
     initial_pi:
         Warm-start point; defaults to the projected no-cache start.
-    fixed_mask, fixed_values:
-        Per-pair coordinates frozen by the integer-rounding outer loop.
     warm_start:
         Alias for ``initial_pi`` (takes precedence when both are given);
         the online re-solver passes the previous bin's iterate here.
@@ -88,16 +84,14 @@ def solve_projected_gradient(
         initial_pi = warm_start
     if initial_pi is None:
         initial_pi = system.initial_pi()
-    pi = system.project(initial_pi, lower_sums, upper_sums, fixed_mask, fixed_values)
+    pi = system.project(initial_pi, lower_sums, upper_sums)
     objective, gradient = system.objective_and_gradient(pi, z)
     step = initial_step
     converged = False
     iterations_used = 0
     for iteration in range(max_iterations):
         iterations_used = iteration + 1
-        candidate = system.project(
-            pi - step * gradient, lower_sums, upper_sums, fixed_mask, fixed_values
-        )
+        candidate = system.project(pi - step * gradient, lower_sums, upper_sums)
         direction = candidate - pi
         direction_norm = float(np.linalg.norm(direction))
         if direction_norm < tolerance:
@@ -148,8 +142,6 @@ def solve_fista(
     lower_sums: np.ndarray,
     upper_sums: np.ndarray,
     initial_pi: Optional[np.ndarray] = None,
-    fixed_mask: Optional[np.ndarray] = None,
-    fixed_values: Optional[np.ndarray] = None,
     max_iterations: int = 400,
     tolerance: float = 1e-10,
     check_window: int = 20,
@@ -193,9 +185,7 @@ def solve_fista(
         initial_pi = system.initial_pi()
     if projector is None:
         def projector(point: np.ndarray) -> np.ndarray:
-            return system.project(
-                point, lower_sums, upper_sums, fixed_mask, fixed_values
-            )
+            return system.project(point, lower_sums, upper_sums)
     if initial_lipschitz <= 0.0:
         raise OptimizationError("initial_lipschitz must be positive")
 
@@ -265,8 +255,6 @@ def solve_frank_wolfe(
     lower_sums: np.ndarray,
     upper_sums: np.ndarray,
     initial_pi: Optional[np.ndarray] = None,
-    fixed_mask: Optional[np.ndarray] = None,
-    fixed_values: Optional[np.ndarray] = None,
     max_iterations: int = 300,
     tolerance: float = 1e-6,
     warm_start: Optional[np.ndarray] = None,
@@ -285,16 +273,14 @@ def solve_frank_wolfe(
         initial_pi = warm_start
     if initial_pi is None:
         initial_pi = system.initial_pi()
-    pi = system.project(initial_pi, lower_sums, upper_sums, fixed_mask, fixed_values)
+    pi = system.project(initial_pi, lower_sums, upper_sums)
     objective = system.objective(pi, z)
     converged = False
     iterations_used = 0
     for iteration in range(max_iterations):
         iterations_used = iteration + 1
         _, gradient = system.objective_and_gradient(pi, z)
-        vertex = _linear_oracle(
-            system, gradient, lower_sums, upper_sums, fixed_mask, fixed_values
-        )
+        vertex = _linear_oracle(system, gradient, lower_sums, upper_sums)
         direction = vertex - pi
         gap = float(-np.dot(gradient, direction))
         if gap < tolerance:
@@ -322,26 +308,14 @@ def _linear_oracle(
     costs: np.ndarray,
     lower_sums: np.ndarray,
     upper_sums: np.ndarray,
-    fixed_mask: Optional[np.ndarray],
-    fixed_values: Optional[np.ndarray],
 ) -> np.ndarray:
     """Minimise ``costs . pi`` over the Prob-Pi polytope (greedy solution)."""
-    num_pairs = system.num_pairs
-    if fixed_mask is None:
-        fixed_mask = np.zeros(num_pairs, dtype=bool)
-    if fixed_values is None:
-        fixed_values = np.zeros(num_pairs, dtype=float)
-
-    pi = np.zeros(num_pairs, dtype=float)
-    pi[fixed_mask] = fixed_values[fixed_mask]
-
+    pi = np.zeros(system.num_pairs, dtype=float)
     order = np.argsort(costs, kind="stable")
-    file_totals = system.file_sums(pi)
+    file_totals = np.zeros(system.num_files)
 
     # Phase 1: per-file mandatory minimum K_L using the cheapest coordinates.
     for pair_index in order:
-        if fixed_mask[pair_index]:
-            continue
         file_position = int(system.pair_file[pair_index])
         deficit = lower_sums[file_position] - file_totals[file_position]
         if deficit <= 1e-12:
@@ -352,7 +326,7 @@ def _linear_oracle(
 
     # Phase 2: negative-cost coordinates are profitable on their own.
     for pair_index in order:
-        if fixed_mask[pair_index] or costs[pair_index] >= 0.0:
+        if costs[pair_index] >= 0.0:
             continue
         file_position = int(system.pair_file[pair_index])
         headroom = upper_sums[file_position] - file_totals[file_position]
@@ -369,8 +343,6 @@ def _linear_oracle(
     total = float(pi.sum())
     if total < target_total - 1e-9:
         for pair_index in order:
-            if fixed_mask[pair_index]:
-                continue
             file_position = int(system.pair_file[pair_index])
             headroom = upper_sums[file_position] - file_totals[file_position]
             slack = min(1.0 - pi[pair_index], headroom)

@@ -20,7 +20,7 @@ objective agrees with the dictionary-based reference implementation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,21 +61,19 @@ def _piecewise_clip_sum_inverse(
         # (segments, 2*width) matrix instead of a global lexsort.
         value_rows = values.reshape(num_segments, width)
         row_breaks = np.concatenate([-value_rows, 1.0 - value_rows], axis=1)
-        row_slopes = np.concatenate(
-            [np.ones((num_segments, width)), -np.ones((num_segments, width))], axis=1
-        )
         order = np.argsort(row_breaks, axis=1)
-        row_breaks = np.take_along_axis(row_breaks, order, axis=1)
-        row_slopes = np.take_along_axis(row_slopes, order, axis=1)
-        active = np.cumsum(row_slopes, axis=1)
-        f = np.zeros_like(row_breaks)
-        f[:, 1:] = np.cumsum(
-            active[:, :-1] * (row_breaks[:, 1:] - row_breaks[:, :-1]), axis=1
-        )
-        position = np.sum(f < targets[:, None], axis=1)
+        # A breakpoint from the first half (``-v``) raises the slope, one
+        # from the second (``1 - v``) lowers it.
         rows = np.arange(num_segments)
-        high = np.clip(position, 0, 2 * width - 1)
-        low = np.clip(position - 1, 0, 2 * width - 1)
+        row_breaks = row_breaks.ravel()[order + (2 * width) * rows[:, None]]
+        active = np.cumsum(np.where(order < width, 1.0, -1.0), axis=1)
+        f = np.zeros_like(row_breaks)
+        np.cumsum(
+            active[:, :-1] * np.diff(row_breaks, axis=1), axis=1, out=f[:, 1:]
+        )
+        position = np.count_nonzero(f < targets[:, None], axis=1)
+        high = np.minimum(position, 2 * width - 1)
+        low = np.maximum(position - 1, 0)
         f_high = f[rows, high]
         f_low = f[rows, low]
         e_high = row_breaks[rows, high]
@@ -148,6 +146,134 @@ def _piecewise_clip_sum_inverse(
     return theta
 
 
+def _coupling_multiplier(
+    values: np.ndarray,
+    segment_sum_of: Callable[[np.ndarray], np.ndarray],
+    segment_of: np.ndarray,
+    segment_counts: np.ndarray,
+    lower_sums: np.ndarray,
+    upper_sums: np.ndarray,
+    target_total: float,
+) -> Tuple[float, int]:
+    """Coupling multiplier ``nu`` of the Prob-Pi projection, and its cost.
+
+    For the projected total
+
+        ``g(nu) = sum_s clamp(sum_j clip(v_j + nu, 0, 1), lower_s, upper_s)``
+
+    returns ``nu = 0`` when ``g(0)`` already meets ``target_total``, else the
+    root of ``g(nu) = target_total`` (to round-off; where ``g`` is flat at the
+    target every root gives the same projection), together with the number
+    of ``g`` evaluations spent.
+
+    ``g`` is monotone and piecewise linear; its slope at ``nu`` is the number
+    of coordinates strictly inside ``(0, 1)`` whose segment sum is strictly
+    inside ``(lower_s, upper_s)``.  Newton steps from ``nu = 0`` are
+    therefore exact as soon as an iterate lies on the root's linear piece,
+    typically after a handful of evaluations.  Every step is kept inside a
+    bracket ``[low, high]`` with ``g(low) < target <= g(high)`` -- ``high``
+    starts at ``1 - min(v)``, where every coordinate saturates -- and a
+    bisection step replaces any Newton step that is undefined (zero slope)
+    or does not land strictly inside the bracket.
+
+    ``segment_sum_of`` maps a per-coordinate vector to per-segment sums,
+    ``segment_of`` maps each coordinate to its segment and
+    ``segment_counts`` holds the coordinates per segment.  Raises
+    :class:`InfeasibleError` when even ``g(+inf)`` falls short of the target.
+    """
+    work = np.empty_like(values)
+
+    def evaluate(nu: float) -> Tuple[float, int]:
+        # Buffer-reusing fast path: this is the projection's inner loop.
+        np.add(values, nu, out=work)
+        inside = (work > 0.0) & (work < 1.0)
+        np.maximum(work, 0.0, out=work)
+        np.minimum(work, 1.0, out=work)
+        sums = segment_sum_of(work)
+        moving = (sums > lower_sums) & (sums < upper_sums)
+        slope = int(np.count_nonzero(inside & moving[segment_of]))
+        np.maximum(sums, lower_sums, out=sums)
+        np.minimum(sums, upper_sums, out=sums)
+        return float(sums.sum()), slope
+
+    total, slope = evaluate(0.0)
+    evaluations = 1
+    if total >= target_total - 1e-9:
+        return 0.0, evaluations
+    max_total = float(np.clip(segment_counts, lower_sums, upper_sums).sum())
+    if target_total > max_total + 1e-9:
+        raise InfeasibleError(
+            "cache capacity constraint cannot be met: requires total "
+            f"{target_total:.3f} but the per-file bounds only allow "
+            f"{max_total:.3f}"
+        )
+    tolerance = 1e-12 * max(1.0, target_total)
+    low, high = 0.0, 1.0 - float(values.min())
+    if max_total <= target_total + tolerance:
+        # Only the saturated end of ``g`` reaches the target, and every
+        # ``nu`` where ``g`` is flat at its maximum projects to one point.
+        return high, evaluations
+    nu = 0.0
+    while True:
+        # A step within round-off of a bracket end would re-evaluate a
+        # point already known to miss the target, so it bisects instead.
+        margin = 1e-12 * max(1.0, high)
+        step = nu + (target_total - total) / slope if slope else low
+        if not low + margin < step < high - margin:
+            step = 0.5 * (low + high)
+            if not low < step < high:
+                # The bracket has collapsed to adjacent floats.
+                return high, evaluations
+        nu = step
+        total, slope = evaluate(nu)
+        evaluations += 1
+        if abs(total - target_total) <= tolerance:
+            # One last Newton correction, free of charge: on the root's
+            # linear piece it moves ``nu`` onto the root to round-off.
+            if slope:
+                nu += (target_total - total) / slope
+            return nu, evaluations
+        if total < target_total:
+            low = nu
+        else:
+            high = nu
+
+
+def _per_segment_projection(
+    values: np.ndarray,
+    segment_sum_of: Callable[[np.ndarray], np.ndarray],
+    segment_of: np.ndarray,
+    segment_counts: np.ndarray,
+    lower_sums: np.ndarray,
+    upper_sums: np.ndarray,
+) -> np.ndarray:
+    """Project every segment onto ``{0 <= x <= 1, lower_s <= sum x <= upper_s}``.
+
+    ``segment_of`` maps each coordinate to its segment.  Segments whose
+    clipped sum already lies in its bounds are just clipped; the others are
+    shifted by a per-segment ``theta_s`` with ``x = clip(v + theta_s, 0, 1)``
+    solved exactly by :func:`_piecewise_clip_sum_inverse`.
+    """
+    projected = np.clip(values, 0.0, 1.0)
+    sums = segment_sum_of(projected)
+    below = sums < lower_sums - 1e-12
+    above = sums > upper_sums + 1e-12
+    needs_shift = below | above
+    if not np.any(needs_shift):
+        return projected
+    violating = np.flatnonzero(needs_shift)
+    counts = segment_counts[violating]
+    targets = np.where(below, lower_sums, upper_sums)[violating]
+    theta = _piecewise_clip_sum_inverse(
+        values[needs_shift[segment_of]],
+        counts,
+        np.clip(targets, 0.0, counts.astype(float)),
+    )
+    shift = np.zeros(needs_shift.size)
+    shift[violating] = theta
+    return np.clip(values + shift[segment_of], 0.0, 1.0)
+
+
 class VectorizedSystem:
     """Array-based view of a storage-system model for fast optimization.
 
@@ -208,10 +334,11 @@ class VectorizedSystem:
         # and every file owns one contiguous segment: per-file reductions run
         # as ``np.add.reduceat`` over these offsets, which is considerably
         # faster than ``np.bincount`` with weights in the solver's inner
-        # loop (projection bisections call ``file_sums`` hundreds of times
-        # per solve).  Per-pair gathers of static file quantities are cached
+        # loop (every Newton step of a projection's coupling multiplier sums
+        # per file).  Per-pair gathers of static file quantities are cached
         # here once instead of being re-gathered on every objective call.
         pair_counts = np.bincount(self.pair_file, minlength=self.num_files)
+        self._pair_counts = pair_counts
         self._file_segments_contiguous = bool(pair_counts.min() > 0)
         self._file_offsets = np.concatenate(
             [[0], np.cumsum(pair_counts)[:-1]]
@@ -528,8 +655,6 @@ class VectorizedSystem:
         pi: np.ndarray,
         lower_sums: np.ndarray,
         upper_sums: np.ndarray,
-        fixed_mask: Optional[np.ndarray] = None,
-        fixed_values: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Euclidean projection onto the feasible set of Prob Pi.
 
@@ -539,114 +664,35 @@ class VectorizedSystem:
             The point to project (pair vector).
         lower_sums, upper_sums:
             Per-file bounds ``K_L,i`` and ``K_U,i`` on ``sum_j pi_{i,j}``.
-        fixed_mask, fixed_values:
-            Optional per-pair mask of coordinates that are frozen at
-            ``fixed_values`` (used to pin fully-rounded files).
 
         Notes
         -----
         The single coupling constraint ``sum pi >= T`` is dualised with a
         multiplier ``nu >= 0``: the optimal point is the per-file projection
-        of ``pi + nu``, and ``nu`` is found by bisection.  The projected
-        total for a trial ``nu`` has the closed form
-        ``sum_i clamp(sum_j clip(pi_{i,j} + nu, 0, 1), K_L,i, K_U,i)``, so
-        the outer bisection never needs the (more expensive) per-file
-        multipliers; those are solved only once, for the final ``nu``, by
-        the exact segmented breakpoint solver
-        :func:`_piecewise_clip_sum_inverse` (no inner bisection loops).
+        of ``pi + nu``.  ``nu`` is the exact root of the piecewise-linear
+        projected total, found by :func:`_coupling_multiplier` in a handful
+        of evaluations; the per-file shifts are then solved once, for that
+        ``nu``, by the exact segmented breakpoint solver
+        :func:`_piecewise_clip_sum_inverse`.
         """
         lower_sums = np.asarray(lower_sums, dtype=float)
         upper_sums = np.asarray(upper_sums, dtype=float)
         if np.any(lower_sums > upper_sums + 1e-12):
             raise InfeasibleError("per-file lower sum exceeds upper sum")
-
-        if fixed_mask is None:
-            fixed_mask = np.zeros(self.num_pairs, dtype=bool)
-            any_fixed = False
-        else:
-            any_fixed = bool(np.any(fixed_mask))
-        if fixed_values is None:
-            fixed_values = np.zeros(self.num_pairs, dtype=float)
-
-        target_total = self.required_total()
-        work = np.empty_like(pi)
-
-        def clipped(values: np.ndarray) -> np.ndarray:
-            result = np.clip(values, 0.0, 1.0)
-            if any_fixed:
-                result[fixed_mask] = fixed_values[fixed_mask]
-            return result
-
-        def projected_total(nu: float) -> float:
-            # Buffer-reusing fast path: this runs ~40 times per projection
-            # inside the bisection, so it avoids fresh allocations.
-            np.add(pi, nu, out=work)
-            np.clip(work, 0.0, 1.0, out=work)
-            if any_fixed:
-                work[fixed_mask] = fixed_values[fixed_mask]
-            sums = self._file_sum(work)
-            np.clip(sums, lower_sums, upper_sums, out=sums)
-            return float(sums.sum())
-
-        def per_file_projection(values: np.ndarray) -> np.ndarray:
-            projected = clipped(values)
-            sums = self.file_sums(projected)
-            below = sums < lower_sums - 1e-12
-            above = sums > upper_sums + 1e-12
-            needs_shift = below | above
-            if not np.any(needs_shift):
-                return projected
-            # Per-file shift theta_i with x = clip(v + theta_i); the shift
-            # only moves the non-fixed coordinates, so fixed contributions
-            # are subtracted from the targets and excluded from the solve.
-            free_mask = needs_shift[self.pair_file]
-            targets = np.where(below, lower_sums, upper_sums)
-            if any_fixed:
-                free_mask &= ~fixed_mask
-                fixed_contribution = self._file_sum(
-                    np.where(fixed_mask, fixed_values, 0.0)
-                )
-                targets = targets - fixed_contribution
-            free_counts = np.bincount(
-                self.pair_file[free_mask], minlength=self.num_files
-            )
-            needs_shift &= free_counts > 0
-            free_mask &= needs_shift[self.pair_file]
-            violating = np.flatnonzero(needs_shift)
-            if violating.size == 0:
-                return projected
-            segment_counts = free_counts[violating]
-            segment_targets = np.clip(
-                targets[violating], 0.0, segment_counts.astype(float)
-            )
-            theta = _piecewise_clip_sum_inverse(
-                values[free_mask], segment_counts, segment_targets
-            )
-            shift = np.zeros(self.num_files)
-            shift[violating] = theta
-            return clipped(values + shift[self.pair_file])
-
-        if target_total <= projected_total(0.0) + 1e-9:
-            return per_file_projection(pi)
-
-        # The cache-capacity constraint is violated: raise all coordinates by
-        # a common multiplier nu until the projected total reaches T.
-        max_total = float(np.minimum(upper_sums, self.n_values).sum())
-        if target_total > max_total + 1e-9:
-            raise InfeasibleError(
-                "cache capacity constraint cannot be met: requires total "
-                f"{target_total:.3f} but the per-file bounds only allow "
-                f"{max_total:.3f}"
-            )
-        nu_low, nu_high = 0.0, 2.0
-        for _ in range(40):
-            if projected_total(nu_high) >= target_total - 1e-9:
-                break
-            nu_high *= 2.0
-        while nu_high - nu_low > 1e-11 * max(1.0, nu_high):
-            nu_mid = 0.5 * (nu_low + nu_high)
-            if projected_total(nu_mid) < target_total:
-                nu_low = nu_mid
-            else:
-                nu_high = nu_mid
-        return per_file_projection(pi + nu_high)
+        nu, _ = _coupling_multiplier(
+            pi,
+            self._file_sum,
+            self.pair_file,
+            self._pair_counts,
+            lower_sums,
+            upper_sums,
+            self.required_total(),
+        )
+        return _per_segment_projection(
+            pi + nu,
+            self._file_sum,
+            self.pair_file,
+            self._pair_counts,
+            lower_sums,
+            upper_sums,
+        )

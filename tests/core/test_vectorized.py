@@ -3,9 +3,12 @@ and correctness of the polytope projection."""
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bound import (
@@ -15,8 +18,14 @@ from repro.core.bound import (
     per_file_bounds,
     system_objective,
 )
+from repro.control.resolve import ActiveSetProjection
+from repro.core import vectorized
+from repro.core.model import FileSpec, StorageSystemModel
+from repro.core.prob_pi import solve_projected_gradient
 from repro.core.vectorized import VectorizedSystem
 from repro.exceptions import InfeasibleError
+from repro.queueing.distributions import ExponentialService
+from repro.workloads.catalog import paper_default_model
 
 
 class TestAgreementWithReference:
@@ -197,6 +206,202 @@ class TestProjection:
         assert np.all(projected >= -1e-9) and np.all(projected <= 1 + 1e-9)
         assert np.all(sums <= upper + 1e-5)
         assert projected.sum() >= system.required_total() - 1e-5
+
+
+def reference_projection(values, segment_of, lower, upper, target):
+    """Oracle: the projection by plain nested bisection.
+
+    ``nu`` is bisected on the projected total (the method the exact Newton
+    solve replaced), then every out-of-bounds segment's shift ``theta_s`` is
+    bisected on its own clipped sum; no breakpoint solver is involved.
+    """
+    num_segments = lower.size
+
+    def clipped_sums(shifted):
+        return np.bincount(
+            segment_of, weights=np.clip(shifted, 0.0, 1.0), minlength=num_segments
+        )
+
+    def total(nu):
+        return float(np.clip(clipped_sums(values + nu), lower, upper).sum())
+
+    nu = 0.0
+    if total(0.0) < target:
+        low, high = 0.0, 1.0 - float(values.min())
+        for _ in range(200):
+            middle = 0.5 * (low + high)
+            if total(middle) < target:
+                low = middle
+            else:
+                high = middle
+        nu = high
+    shifted = values + nu
+    sums = clipped_sums(shifted)
+    goal = np.clip(sums, lower, upper)
+    theta_low = np.full(num_segments, -1.0 - float(shifted.max()))
+    theta_high = np.full(num_segments, 1.0 - float(shifted.min()))
+    for _ in range(200):
+        middle = 0.5 * (theta_low + theta_high)
+        short = clipped_sums(shifted + middle[segment_of]) < goal
+        theta_low = np.where(short, middle, theta_low)
+        theta_high = np.where(short, theta_high, middle)
+    theta = np.where(goal == sums, 0.0, 0.5 * (theta_low + theta_high))
+    return np.clip(shifted + theta[segment_of], 0.0, 1.0)
+
+
+@contextlib.contextmanager
+def recorded_evaluations():
+    """Collect the evaluation count of every coupling-multiplier solve."""
+    counts = []
+    original = vectorized._coupling_multiplier
+
+    def counting(*args):
+        nu, evaluations = original(*args)
+        counts.append(evaluations)
+        return nu, evaluations
+
+    with mock.patch.object(vectorized, "_coupling_multiplier", counting):
+        yield counts
+
+
+@st.composite
+def projection_instances(draw):
+    """A random model, per-file sum bounds, a capacity mode and a point.
+
+    Files sit on 2-6 of 8 nodes (unequal widths exercise the ``lexsort``
+    path of the per-file breakpoint solver) and each file draws its own
+    bounds: free ``[0, k]``, pinned ``lower == upper`` or ``lower > 0``.
+    """
+    num_files = draw(st.integers(1, 10))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    files, lower, upper = [], [], []
+    for index in range(num_files):
+        n = int(rng.integers(2, 7))
+        k = int(rng.integers(1, n + 1))
+        placement = [int(node) for node in rng.choice(8, size=n, replace=False)]
+        files.append(
+            FileSpec(
+                file_id=f"file-{index}",
+                n=n,
+                k=k,
+                placement=placement,
+                arrival_rate=float(rng.uniform(0.01, 0.1)),
+            )
+        )
+        mode = draw(st.sampled_from(["free", "pinned", "lower"]))
+        if mode == "free":
+            lower.append(0.0)
+            upper.append(float(k))
+        elif mode == "pinned":
+            pinned = float(rng.integers(0, k + 1))
+            lower.append(pinned)
+            upper.append(pinned)
+        else:
+            lower.append(float(rng.integers(1, k + 1)))
+            upper.append(float(k))
+    lower, upper = np.asarray(lower), np.asarray(upper)
+    k_total = sum(spec.k for spec in files)
+    # The largest attainable total is sum(upper), so C = k_total - sum(upper)
+    # is the tightest feasible capacity.
+    tightest = int(k_total - upper.sum())
+    capacity_mode = draw(st.sampled_from(["loose", "tight", "infeasible"]))
+    if capacity_mode == "loose":
+        capacity = draw(st.integers(tightest, k_total))
+    elif capacity_mode == "tight":
+        capacity = tightest
+    else:
+        assume(tightest >= 1)
+        capacity = tightest - 1
+    model = StorageSystemModel(
+        services=[ExponentialService(1.0) for _ in range(8)],
+        files=files,
+        cache_capacity=capacity,
+    )
+    system = VectorizedSystem(model)
+    point = rng.normal(0.3, 1.5, size=system.num_pairs)
+    return system, lower, upper, capacity_mode, point
+
+
+class TestExactMultiplier:
+    """The Newton multiplier solve against the bisection oracle."""
+
+    @given(instance=projection_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_bisection_oracle(self, instance):
+        system, lower, upper, capacity_mode, point = instance
+        if capacity_mode == "infeasible":
+            with pytest.raises(InfeasibleError):
+                system.project(point, lower, upper)
+            return
+        with recorded_evaluations() as counts:
+            projected = system.project(point, lower, upper)
+        expected = reference_projection(
+            point, system.pair_file, lower, upper, system.required_total()
+        )
+        assert np.max(np.abs(projected - expected)) <= 1e-9
+        assert projected.sum() >= system.required_total() - 1e-9
+        assert counts[0] <= 12
+
+    @given(instance=projection_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_active_set_matches_oracle_on_its_free_coordinates(self, instance):
+        system, _, _, capacity_mode, point = instance
+        assume(capacity_mode == "loose")
+        lower = np.zeros(system.num_files)
+        upper = system.k_values.copy()
+        reference = system.project(point, lower, upper)
+        projection = ActiveSetProjection(system, reference)
+        assume(projection.usable)
+        frozen = (reference <= 1e-7) | (reference >= 1.0 - 1e-7)
+        fixed = np.where(reference >= 0.5, 1.0, 0.0)
+        free = np.flatnonzero(~frozen)
+        free_files, free_segment = np.unique(
+            system.pair_file[free], return_inverse=True
+        )
+        fixed_sums = system.file_sums(np.where(frozen, fixed, 0.0))[free_files]
+        free_counts = np.bincount(free_segment).astype(float)
+        free_upper = np.clip(
+            system.k_values[free_files] - fixed_sums, 0.0, free_counts
+        )
+        free_target = system.required_total() - float(fixed[frozen].sum())
+        trial = point + np.random.default_rng(7).normal(0.0, 0.3, point.size)
+        if free_target > free_upper.sum() + 1e-9:
+            # Rounding the frozen coordinates can leave the free ones short.
+            with pytest.raises(InfeasibleError):
+                projection(trial)
+            return
+        result = projection(trial)
+        expected = reference_projection(
+            trial[free],
+            free_segment,
+            np.zeros(free_files.size),
+            free_upper,
+            free_target,
+        )
+        assert np.array_equal(result[frozen], fixed[frozen])
+        assert np.max(np.abs(result[free] - expected)) <= 1e-9
+        assert result[free].sum() >= free_target - 1e-9
+
+    def test_evaluations_stay_few_on_paper_instance(self):
+        # Every projection of a projected-gradient Prob-Pi solve on the
+        # 250-file paper_default instance: the bisection it replaced spent
+        # ~37 evaluations per call, Newton spends 4-9 here.  (Inside
+        # Algorithm 1's rounding loop under 1 % of calls need 13-14, where
+        # few files still move and the total is nearly flat near its root.)
+        model = paper_default_model(
+            num_files=250, cache_capacity=125, rate_scale=4.0
+        )
+        system = VectorizedSystem(model)
+        lower = np.zeros(system.num_files)
+        upper = system.k_values.copy()
+        with recorded_evaluations() as counts:
+            pi = system.project(system.initial_pi(), lower, upper)
+            solve_projected_gradient(
+                system, system.optimal_z(pi), lower, upper, initial_pi=pi
+            )
+        assert len(counts) > 50
+        assert max(counts) <= 12
 
 
 class TestRebind:
