@@ -96,7 +96,11 @@ class Gate:
 
 #: name (the ``name`` field / ``BENCH_<name>.json``) -> its gates.
 GATES: Dict[str, List[Gate]] = {
-    "cluster_replay": [Gate("speedup_vs_legacy", ">=", "required_speedup")],
+    "cluster_replay": [
+        Gate("speedup_vs_legacy", ">=", "required_speedup"),
+        Gate("miss_heavy_functional_speedup", ">=", "required_miss_heavy_speedup"),
+        Gate("miss_heavy_lru_speedup", ">=", "required_miss_heavy_speedup"),
+    ],
     "degraded_replay": [
         Gate("replayed_requests_per_second", ">=", "required_replayed_rps")
     ],

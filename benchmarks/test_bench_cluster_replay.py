@@ -12,7 +12,16 @@ on a hot-set Zipf workload (the high-hit-ratio regime a cache tier is
 provisioned for).  The epoch engine must be >= 8x faster than the
 per-request emulation (measured ~10-12x; the gate leaves noise headroom) while classifying every request identically (hit
 counters match the legacy tier exactly, and all counters plus latencies
-match the reference engine to ~1e-12).  Results land in
+match the reference engine to ~1e-12).
+
+A second, miss-heavy arm replays the opposite regime: an Algorithm-1
+functional placement of 500 of 4000 chunks (1000 ``paper_default`` files,
+(7, 4) code) against LRU at the same capacity, ~13 % hit ratio, under the
+1/6000 s^-1 ``osd_crash`` schedule.  Here nearly every request is a miss,
+so the epoch engine's edge comes from the policies' exact bulk
+``classify_trace`` path; each policy's epoch engine must be >= 2x faster
+than the per-request reference engine on the same trace, with identical
+counters, masks and latencies.  Results land in
 ``BENCH_cluster_replay.json``.
 """
 
@@ -23,8 +32,11 @@ import time
 import numpy as np
 from conftest import print_report, write_bench_json
 
+from repro.api import Scenario
+from repro.api.session import Session
 from repro.cluster.cluster import CephLikeCluster, ClusterConfig
 from repro.cluster.replay import ClusterReplay, ReplayTrace
+from repro.policies.functional import StaticFunctionalPolicy
 
 #: Required wall-clock advantage of the epoch engine over the per-request
 #: cluster emulation (CI gate).  Measured speedup is ~10-12x, but the
@@ -39,8 +51,19 @@ REQUIRED_SPEEDUP = 8.0
 AGGREGATE_RATE = 4.0
 
 SCALES = {
-    "fast": {"num_objects": 1000, "duration_s": 37_500.0},
-    "paper": {"num_objects": 1000, "duration_s": 225_000.0},
+    "fast": {"num_objects": 1000, "duration_s": 37_500.0, "miss_heavy_s": 15_000.0},
+    "paper": {"num_objects": 1000, "duration_s": 225_000.0, "miss_heavy_s": 30_000.0},
+}
+
+#: Required epoch-vs-reference speedup of each policy on the miss-heavy
+#: arm (CI gate).  Measured 3.1-5.5x; before the bulk classification path
+#: the epoch engine was no faster than the reference (0.8-1.2x).
+REQUIRED_MISS_HEAVY_SPEEDUP = 2.0
+
+#: The 1 %-downtime crash schedule of the miss-heavy arm.
+MISS_HEAVY_FAULTS = {
+    "faults": "osd_crash",
+    "fault_params": {"crash_rate": 1.0 / 6000.0, "downtime_ms": 60_000.0},
 }
 
 
@@ -51,6 +74,73 @@ def _workload(num_objects: int, alpha: float = 1.8, total_rate: float = AGGREGAT
         f"obj-{index}": total_rate * float(weight)
         for index, weight in enumerate(weights)
     }
+
+
+def _best_of(runs, fn, *args, **kwargs):
+    best = float("inf")
+    for _ in range(runs):
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        best = min(best, time.perf_counter() - start)
+    return result, best
+
+
+def _miss_heavy_arm(duration_s: float):
+    """Functional vs LRU replays at ~13 % hit ratio: epoch vs reference."""
+    scenario = Scenario(
+        workload="paper_default",
+        num_files=1000,
+        cache_capacity=500,
+        code=(7, 4),
+        seed=1,
+        simulate=False,
+    )
+    session = Session(cache=None)
+    model = session.build_model(scenario)
+    allocation = session.run(scenario).placement.cached_chunks()
+    config = ClusterConfig(
+        num_osds=12,
+        n=7,
+        k=4,
+        object_size_mb=64,
+        cache_capacity_mb=500 * 16,  # 500 chunks of a 64 MB object at k=4
+        seed=1,
+    )
+    raw = {spec.file_id: spec.arrival_rate for spec in model.files}
+    scale = AGGREGATE_RATE / sum(raw.values())
+    trace = ReplayTrace.from_rates(
+        {file_id: rate * scale for file_id, rate in raw.items()}, duration_s, seed=2
+    )
+
+    def functional(capacity, chunks_per_file):
+        return StaticFunctionalPolicy(capacity, chunks_per_file, allocation=allocation)
+
+    fields = {"miss_heavy_requests": trace.num_requests}
+    for arm, policy in (("functional", functional), ("lru", "lru")):
+        replay = ClusterReplay(config, list(raw), policy=policy)
+        epoch, epoch_seconds = _best_of(
+            3, replay.run, trace, engine="epoch", seed=3, **MISS_HEAVY_FAULTS
+        )
+        reference, reference_seconds = _best_of(
+            2, replay.run, trace, engine="request", seed=3, **MISS_HEAVY_FAULTS
+        )
+        assert epoch.hits == reference.hits
+        assert epoch.promotions == reference.promotions
+        assert epoch.evictions_mb == reference.evictions_mb
+        assert epoch.chunks_from_cache == reference.chunks_from_cache
+        assert epoch.chunks_from_storage == reference.chunks_from_storage
+        assert epoch.degraded_reads == reference.degraded_reads
+        assert np.array_equal(epoch.hit_mask, reference.hit_mask)
+        assert np.array_equal(epoch.served_mask, reference.served_mask)
+        np.testing.assert_allclose(
+            epoch.latencies_ms, reference.latencies_ms, rtol=1e-9, atol=1e-9
+        )
+        fields[f"miss_heavy_{arm}_hit_ratio"] = epoch.hit_ratio
+        fields[f"miss_heavy_{arm}_epoch_seconds"] = epoch_seconds
+        fields[f"miss_heavy_{arm}_reference_seconds"] = reference_seconds
+        fields[f"miss_heavy_{arm}_speedup"] = reference_seconds / epoch_seconds
+    fields["required_miss_heavy_speedup"] = REQUIRED_MISS_HEAVY_SPEEDUP
+    return fields
 
 
 def test_cluster_replay_speedup(benchmark, scale):
@@ -112,6 +202,8 @@ def test_cluster_replay_speedup(benchmark, scale):
     # The policy-backed legacy tier classifies the same trace identically.
     assert legacy_hits == epoch_result.hits
 
+    miss_heavy = _miss_heavy_arm(params["miss_heavy_s"])
+
     write_bench_json(
         "cluster_replay",
         {
@@ -129,6 +221,7 @@ def test_cluster_replay_speedup(benchmark, scale):
             "mean_latency_ms": epoch_result.mean_latency_ms(),
             "mean_latency_relative_gap": mean_gap,
             "required_speedup": REQUIRED_SPEEDUP,
+            **miss_heavy,
         },
     )
     print_report(
@@ -139,6 +232,17 @@ def test_cluster_replay_speedup(benchmark, scale):
         f"  epoch-batched engine          {epoch_seconds:8.3f} s\n"
         f"  -> {speedup_vs_legacy:.1f}x vs legacy (gate >= {REQUIRED_SPEEDUP:.0f}x), "
         f"{speedup_vs_reference:.1f}x vs reference, "
-        f"{trace.num_requests / epoch_seconds:,.0f} req/s",
+        f"{trace.num_requests / epoch_seconds:,.0f} req/s\n"
+        f"miss-heavy arm, {miss_heavy['miss_heavy_requests']} requests under osd_crash:\n"
+        + "".join(
+            f"  {arm:<10} hit ratio {miss_heavy[f'miss_heavy_{arm}_hit_ratio']:.1%}  "
+            f"reference {miss_heavy[f'miss_heavy_{arm}_reference_seconds']:.3f} s  "
+            f"epoch {miss_heavy[f'miss_heavy_{arm}_epoch_seconds']:.3f} s  "
+            f"-> {miss_heavy[f'miss_heavy_{arm}_speedup']:.1f}x "
+            f"(gate >= {REQUIRED_MISS_HEAVY_SPEEDUP:.0f}x)\n"
+            for arm in ("functional", "lru")
+        ),
     )
     assert speedup_vs_legacy >= REQUIRED_SPEEDUP
+    for arm in ("functional", "lru"):
+        assert miss_heavy[f"miss_heavy_{arm}_speedup"] >= REQUIRED_MISS_HEAVY_SPEEDUP

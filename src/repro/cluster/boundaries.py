@@ -1,25 +1,18 @@
-"""The unified epoch-boundary layer of the trace-replay engines.
+"""Static epoch boundaries for the fixed-epoch trace replay.
 
-The epoch engine freezes cache/cluster state between *boundaries*.  Three
-event classes produce boundaries:
+The fixed-epoch mode of the epoch engine (``epoch_length=E``) freezes
+cache/cluster state for ``E`` requests at a time.  Fault events -- OSD
+crashes/recoveries, outage windows, straggler onsets: the ``boundaries_ms``
+of a compiled :class:`~repro.faults.base.FaultTimeline` -- are known
+*statically* before the replay starts, and no approximate epoch may
+straddle one.  :class:`BoundaryClock` turns them into one sorted stream of
+request-index break points so the classifier only ever asks "where must
+the current epoch end at the latest?".
 
-* **misses** -- discovered while classifying, one boundary per miss (the
-  exact mode's defining property);
-* **TTL expiries** -- the policy's dynamic ``next_event_time()``, found
-  while classifying because they depend on policy state;
-* **fault events** -- OSD crashes/recoveries, outage windows, straggler
-  onsets: the ``boundaries_ms`` of a compiled
-  :class:`~repro.faults.base.FaultTimeline`, known *statically* before the
-  replay starts.
-
-:class:`BoundaryClock` merges the static class into one sorted stream of
-request-index break points so the classifiers only ever ask "where must the
-current epoch end at the latest?".  Splitting a run of hits at a fault
-boundary is exactness-preserving: a hit run only folds recency/frequency
-state into the policy, and folding two adjacent sub-runs in order is
-identical to folding the whole run (``touch_epoch`` is associative across a
-split), so the exact mode stays bit-equal to the per-request reference
-engine no matter how many fault boundaries cut through it.
+The exact mode does not need the clock.  Hit/miss classification is
+fault-oblivious, and a break inside a run of hits could only split the
+run into two ``touch_epoch`` folds, which are associative across a split;
+so a static break can never change an exact-mode result.
 """
 
 from __future__ import annotations

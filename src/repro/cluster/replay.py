@@ -17,9 +17,15 @@ trace over the *same randomness*:
   per-OSD FIFO departures (Lindley scans), the fork-join maxima and the
   SSD multi-server queue are computed in bulk with the batch-engine
   primitives; evictions and promotions are applied at epoch boundaries.
-  With the default ``epoch_length=None`` the engine places a boundary at
-  every miss (and at every TTL expiry), which preserves per-request
-  semantics *exactly*: a run of full hits changes recency/frequency state
+  With the default ``epoch_length=None`` classification is exact.  The
+  engine first asks the policy for its bulk path,
+  :meth:`~repro.policies.base.ChunkCachingPolicy.classify_trace`: the
+  static functional cache answers with one gather over its fixed
+  allocation and plain LRU with one tight pass over its own recency list,
+  and both are contracted to leave exactly the per-request ``observe``
+  state and outcome.  Every other policy (LFU, ARC, TTL, plugins) takes
+  the miss-bounded loop, which places a boundary at every miss (and at
+  every TTL expiry): a run of full hits changes recency/frequency state
   but never residency, so folding the run into the policy at the boundary
   (:meth:`~repro.policies.base.ChunkCachingPolicy.touch_epoch`) reproduces
   the per-request state evolution.  Hit/miss/promotion/eviction counters
@@ -43,11 +49,13 @@ replayed out of order).
 **Failure suite.**  ``run(faults=..., fault_params=...)`` replays under a
 :mod:`repro.faults` schedule.  The schedule compiles (from a third child of
 the same root ``SeedSequence``, so the healthy draws are untouched) into a
-piecewise-constant :class:`~repro.faults.base.FaultTimeline` whose state
-changes are fed to the epoch classifiers as static break points through the
-:class:`~repro.cluster.boundaries.BoundaryClock` -- fault events are just
-another epoch-boundary class next to misses and TTL expiries.  Between
-boundaries the cluster state is frozen and both engines share one
+piecewise-constant :class:`~repro.faults.base.FaultTimeline`.  Hit/miss
+classification is fault-oblivious, so the exact modes ignore the timeline
+while classifying; the fixed-epoch approximation takes its state changes
+as static break points through the
+:class:`~repro.cluster.boundaries.BoundaryClock` so that no approximate
+epoch straddles a cluster-state change.  Within each interval of the
+timeline the cluster state is frozen and both engines share one
 deterministic *fetch plan*: a miss whose preferred chunks (its first
 ``storage_chunks`` schedule choices) all sit on live OSDs reads exactly
 those chunks; if any preferred OSD is down the read *degrades* to a
@@ -407,10 +415,11 @@ class ClusterReplay:
             the same seed, engines that classify identically (the exact
             modes always do) consume identical draws.
         epoch_length:
-            ``None`` (default) places epoch boundaries at every miss and
-            expiry, which preserves per-request semantics exactly; a
-            positive integer freezes cache state for that many requests at
-            a time (documented approximation; ignored by ``"request"``).
+            ``None`` (default) preserves per-request semantics exactly: the
+            policy's bulk ``classify_trace`` path where it has one, else an
+            epoch boundary at every miss and expiry; a positive integer
+            freezes cache state for that many requests at a time
+            (documented approximation; ignored by ``"request"``).
         faults:
             Optional fault schedule: a registered generator name (with
             ``fault_params``), a :class:`~repro.faults.base.FaultSchedule`,
@@ -464,8 +473,8 @@ class ClusterReplay:
             timeline = None
 
         # Phase 1 (engine-specific): hit/miss classification and policy
-        # state evolution.  Touches no random stream; fault boundaries cut
-        # epochs via the BoundaryClock but never change residency.
+        # state evolution.  Touches no random stream; fault boundaries only
+        # cut the fixed-epoch approximation and never change residency.
         if engine == "request":
             classified = self._classify_requests(positions, times)
         else:
@@ -555,31 +564,39 @@ class ClusterReplay:
     # ------------------------------------------------------------------
 
     def _classify_epochs(self, positions, times, epoch_length=None, timeline=None):
-        clock = BoundaryClock(
-            times, timeline.boundaries_ms if timeline is not None else None
-        )
-        if epoch_length is None:
-            return self._classify_miss_bounded(positions, times, clock)
-        return self._classify_fixed_epochs(positions, times, int(epoch_length), clock)
+        if epoch_length is not None:
+            clock = BoundaryClock(
+                times, timeline.boundaries_ms if timeline is not None else None
+            )
+            return self._classify_fixed_epochs(positions, times, int(epoch_length), clock)
+        policy = self._build_policy()
+        outcome = policy.classify_trace(self._object_ids, positions, times)
+        if outcome is not None:
+            return outcome
+        return self._classify_miss_bounded(policy, positions, times)
 
-    def _classify_miss_bounded(self, positions, times, clock):
+    def _classify_miss_bounded(self, policy, positions, times):
         """Exact mode: one epoch per run of hits, boundary at every event.
+
+        Policies with an exact bulk path -- the static functional cache and
+        plain LRU -- never get here: :meth:`_classify_epochs` first asks
+        ``policy.classify_trace`` for the whole trace, whose contract is to
+        leave exactly the per-request ``observe`` state and outcome, so the
+        result is identical by construction.  This loop serves every other
+        policy (LFU, ARC, TTL, plugins and subclasses).
 
         A run of full hits never changes residency, so classifying against
         the residency snapshot is exact; the run is folded into the policy
         (unique files in last-access order) before the boundary miss is
         observed.  TTL-style policies additionally bound runs at their next
-        expiry instant, and the :class:`BoundaryClock` contributes the
-        static fault-event break points -- misses, expiries and fault
-        events form one merged boundary stream.  Cutting a hit run at a
-        static boundary stays exact because ``touch_epoch`` folds are
-        associative across a split.  Short runs are scanned in plain Python
-        (per-epoch numpy calls on tiny slices cost more than they
-        vectorise); once a run exceeds :data:`_VECTOR_THRESHOLD` the scan
-        switches to doubling vectorised blocks, so high-hit-ratio traces
-        classify at array speed.
+        expiry instant.  Fault events do not cut runs: classification is
+        fault-oblivious, so a static break could only split a hit run into
+        two ``touch_epoch`` folds, which are associative across a split.
+        Short runs are scanned in plain Python (per-epoch numpy calls on
+        tiny slices cost more than they vectorise); once a run exceeds
+        :data:`_VECTOR_THRESHOLD` the scan switches to doubling vectorised
+        blocks, so high-hit-ratio traces classify at array speed.
         """
-        policy = self._build_policy()
         num_requests = times.size
         k = self._k
         ids = self._object_ids
@@ -632,7 +649,7 @@ class ClusterReplay:
         cursor = 0
         vector_block = 0
         while cursor < num_requests:
-            limit = clock.next_break(cursor)
+            limit = num_requests
             if time_driven:
                 next_event = policy.next_event_time()
                 if next_event < math.inf:

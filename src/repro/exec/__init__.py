@@ -34,6 +34,7 @@ from repro.exec.cache import (
     default_cache,
     default_cache_dir,
     experiment_point_key,
+    package_source_hash,
     package_version,
     resolve_cache,
     scenario_key,
@@ -74,5 +75,6 @@ __all__ = [
     "scenario_key",
     "experiment_point_key",
     "package_version",
+    "package_source_hash",
     "CACHE_DIR_ENV_VAR",
 ]

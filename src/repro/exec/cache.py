@@ -4,10 +4,11 @@ Identical ``(Scenario, seed)`` solves used to be recomputed from scratch
 across figures, examples and CI jobs.  The :class:`ResultCache` stores any
 JSON-safe result payload under a SHA-256 key derived from the canonical
 JSON of the inputs that determine it -- the scenario (or sweep point)
-description, the seed, the package version and the active kernel backend
--- so a cache entry can never be served to a run it does not bit-exactly
-describe: bumping the package version or switching backends changes the
-key and misses.
+description, the seed, the package version, a hash of the package's
+Python sources and the active kernel backend -- so a cache entry can never
+be served to a run it does not bit-exactly describe: bumping the package
+version, editing any source file or switching backends changes the key and
+misses.
 
 Layout: one JSON file per entry under ``<cache_dir>/<key[:2]>/<key>.json``
 with ``~/.cache/repro`` as the default root (override with the
@@ -18,6 +19,7 @@ torn entry; corrupt entries are treated as misses and removed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -37,6 +39,35 @@ def package_version() -> str:
     from repro import __version__
 
     return __version__
+
+
+def source_tree_hash(root: Union[str, Path]) -> str:
+    """SHA-256 over every ``.py`` file under ``root``.
+
+    Files are visited in sorted relative-path order and each contributes
+    its relative path and its bytes, so the digest depends on the sources
+    alone, not on where the tree is checked out.
+    """
+    root = Path(root)
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py"), key=lambda p: p.relative_to(root).as_posix()):
+        data = path.read_bytes()
+        header = f"{path.relative_to(root).as_posix()}\0{len(data)}\0"
+        digest.update(header.encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def package_source_hash() -> str:
+    """Hash of the ``repro`` package's sources (a cache-key component).
+
+    :func:`source_tree_hash` of the installed package directory, computed
+    once per process.
+    """
+    import repro
+
+    return source_tree_hash(Path(repro.__file__).parent)
 
 
 def default_cache_dir() -> Path:
@@ -206,13 +237,15 @@ def scenario_key(cache: ResultCache, scenario: Any) -> str:
     """Cache key of one end-to-end scenario run.
 
     The scenario's ``to_dict()`` already carries the seed and the kernel
-    backend; the package version keys out results computed by older code.
+    backend; the package version and source hash key out results computed
+    by other code.
     """
     return cache.key_for(
         {
             "kind": "scenario",
             "scenario": scenario.to_dict(),
             "version": package_version(),
+            "source": package_source_hash(),
         }
     )
 
@@ -226,8 +259,9 @@ def experiment_point_key(
     """Cache key of one sweep point of a registered experiment.
 
     ``params`` must contain every parameter that shapes the point's result
-    (including the seed); the active kernel backend and the package
-    version are mixed in so backend switches and version bumps miss.
+    (including the seed); the active kernel backend, the package version
+    and the source hash are mixed in so backend switches, version bumps and
+    code edits miss.
     """
     return cache.key_for(
         {
@@ -236,6 +270,7 @@ def experiment_point_key(
             "point": point,
             "params": dict(params),
             "version": package_version(),
+            "source": package_source_hash(),
             "backend": _active_backend_name(),
         }
     )

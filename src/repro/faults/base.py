@@ -9,9 +9,9 @@ replay engines consume a schedule in compiled form -- a
 mechanism that already drives the vectorised replay:
 
 * ``boundaries_ms`` is a sorted stream of instants at which the cluster
-  state changes.  The unified boundary classifier in
-  :mod:`repro.cluster.replay` merges these with the miss/TTL boundaries,
-  so a fault event is just another epoch boundary.
+  state changes.  The fixed-epoch classifier in :mod:`repro.cluster.replay`
+  cuts its epochs there; the exact modes need no cut, because hit/miss
+  classification does not depend on the cluster state.
 * Between two boundaries the cluster state is frozen: ``down[i, osd]``
   says whether an OSD is unavailable during interval ``i`` and
   ``slow[i, osd]`` scales its service times (the straggler lane).

@@ -16,7 +16,13 @@ from __future__ import annotations
 from typing import Any, Mapping, Optional
 
 from repro.policies.arc import ARCPolicy
-from repro.policies.base import AccessOutcome, ChunkCachingPolicy, Eviction, PolicyStats
+from repro.policies.base import (
+    AccessOutcome,
+    ChunkCachingPolicy,
+    Eviction,
+    PolicyStats,
+    TraceOutcome,
+)
 from repro.policies.functional import StaticFunctionalPolicy, round_robin_allocation
 from repro.policies.lfu import LFUPolicy
 from repro.policies.lru import LRUPolicy
@@ -28,6 +34,7 @@ __all__ = [
     "ChunkCachingPolicy",
     "Eviction",
     "PolicyStats",
+    "TraceOutcome",
     "LRUPolicy",
     "LFUPolicy",
     "ARCPolicy",

@@ -10,8 +10,10 @@ so the same policy object drives three very different consumers:
 * the Ceph-like cache tier (:mod:`repro.cluster.cachetier`), one object at
   a time along the emulated IO path;
 * the epoch-batched trace replay (:mod:`repro.cluster.replay`), which
-  freezes the residency snapshot for a run of requests and folds the run
-  back into the policy at epoch boundaries via :meth:`touch_epoch`;
+  first asks the policy to classify the whole trace in one pass
+  (:meth:`classify_trace`) and otherwise freezes the residency snapshot for
+  a run of requests and folds the run back into the policy at epoch
+  boundaries via :meth:`touch_epoch`;
 * the scenario facade (:mod:`repro.policies.placement`), which replays a
   seeded synthetic trace and converts the final occupancy snapshot into a
   functional cache placement for the analytical pipeline.
@@ -42,6 +44,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+import numpy as np
 
 from repro.exceptions import CacheError
 
@@ -94,6 +98,28 @@ class AccessOutcome(NamedTuple):
     evicted: Tuple[Eviction, ...] = ()
 
 
+class TraceOutcome(NamedTuple):
+    """What :meth:`ChunkCachingPolicy.classify_trace` did to a whole trace.
+
+    Attributes
+    ----------
+    hit_mask:
+        Per-request boolean array: the access fully hit.
+    cached_chunks:
+        Per-request ``int64`` array of chunks served from the cache (the
+        :attr:`AccessOutcome.cached_chunks` of each access).
+    promotions:
+        Number of misses that inserted their file.
+    evicted_chunks:
+        Total chunks of all victims removed over the trace.
+    """
+
+    hit_mask: np.ndarray
+    cached_chunks: np.ndarray
+    promotions: int
+    evicted_chunks: int
+
+
 class ChunkCachingPolicy(ABC):
     """Base class of the pluggable cache-policy layer.
 
@@ -106,6 +132,16 @@ class ChunkCachingPolicy(ABC):
         Mapping from file id to the chunk footprint a cached copy occupies.
         Files may also be registered later via :meth:`register_file` (the
         cache tier learns sizes on write).
+
+    Besides the per-request :meth:`observe`, a policy may offer an exact
+    bulk path, :meth:`classify_trace`: it classifies a whole request trace
+    in one policy-level pass.  Its contract is strict -- after a
+    non-``None`` return the residency, the recency/frequency order,
+    :attr:`stats` (and any container statistics the policy keeps) are
+    exactly what one :meth:`observe` per request, in order, would have
+    left.  The base class returns ``None`` ("no exact bulk path"), so a
+    policy without an override, or a subclass that changes the hit/miss
+    handlers of a policy that has one, keeps the generic epoch path.
     """
 
     #: Whether residency only changes inside ``observe``/``warm``/``evict``
@@ -284,6 +320,21 @@ class ChunkCachingPolicy(ABC):
             self._on_hit(file_id, times[position] if times is not None else now)
         self.stats.reads += total
         self.stats.hits += total
+
+    def classify_trace(
+        self,
+        file_ids: Sequence[str],
+        positions: np.ndarray,
+        times: np.ndarray,
+    ) -> Optional[TraceOutcome]:
+        """Classify a whole trace at once, or ``None`` for "no bulk path".
+
+        Request ``r`` accesses ``file_ids[positions[r]]`` at ``times[r]``.
+        An override must leave exactly the state -- and return exactly the
+        outcome -- of ``observe(file_ids[positions[r]], now=times[r])``
+        applied for every ``r`` in order (see the class docstring).
+        """
+        return None
 
     def warm(self, file_ids: Iterable[str], now: float = 0.0) -> None:
         """Pre-populate the cache by admitting files in order (stats reset)."""

@@ -9,10 +9,12 @@ request time; allocations change only between optimization epochs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import CacheError
-from repro.policies.base import ChunkCachingPolicy, Eviction
+from repro.policies.base import ChunkCachingPolicy, Eviction, TraceOutcome
 
 
 def round_robin_allocation(
@@ -109,3 +111,27 @@ class StaticFunctionalPolicy(ChunkCachingPolicy):
     def _on_miss(self, file_id: str, now: float) -> Tuple[bool, List[Eviction]]:
         # Static: misses never promote and never evict.
         return False, []
+
+    def classify_trace(
+        self,
+        file_ids: Sequence[str],
+        positions: np.ndarray,
+        times: np.ndarray,
+    ) -> Optional[TraceOutcome]:
+        # Residency never changes, so the whole trace is one gather: a
+        # request hits when d_i covers the footprint and is served d_i
+        # cached chunks either way (d_i == k_i on a hit).  Subclasses may
+        # override the hit/miss handlers, so they keep the generic path.
+        if type(self) is not StaticFunctionalPolicy:
+            return None
+        positions = np.asarray(positions, dtype=np.int64)
+        allocation = np.zeros(len(file_ids), dtype=np.int64)
+        footprints = np.zeros(len(file_ids), dtype=np.int64)
+        for at in np.unique(positions).tolist():
+            allocation[at] = self.lookup(file_ids[at])
+            footprints[at] = self.footprint(file_ids[at])
+        cached_chunks = allocation[positions]
+        hit_mask = cached_chunks >= footprints[positions]
+        self.stats.reads += int(positions.size)
+        self.stats.hits += int(np.count_nonzero(hit_mask))
+        return TraceOutcome(hit_mask, cached_chunks, 0, 0)

@@ -8,7 +8,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.baselines.lru import LRUCache
 from repro.exceptions import CacheError
-from repro.policies.base import AccessOutcome, ChunkCachingPolicy, Eviction
+from repro.policies.base import (
+    AccessOutcome,
+    ChunkCachingPolicy,
+    Eviction,
+    TraceOutcome,
+)
 
 
 class LRUPolicy(ChunkCachingPolicy):
@@ -80,23 +85,63 @@ class LRUPolicy(ChunkCachingPolicy):
         return AccessOutcome(False, 0, promoted, tuple(evicted))
 
     # ------------------------------------------------------------------
-    # Epoch fast path
+    # Exact bulk classification
     # ------------------------------------------------------------------
 
-    def touch_epoch(
+    def classify_trace(
         self,
         file_ids: Sequence[str],
-        counts: Optional[Sequence[int]] = None,
-        now: float = 0.0,
-        times: Optional[Sequence[float]] = None,
-        total: Optional[int] = None,
-    ) -> None:
-        # A run of hits leaves the unique files ordered by last access; one
-        # move_to_end per unique file reproduces per-request processing.
-        touch = self._cache.touch
-        for file_id in file_ids:
-            touch(file_id)
-        if total is None:
-            total = len(file_ids) if counts is None else int(sum(counts))
-        self.stats.reads += total
-        self.stats.hits += total
+        positions: np.ndarray,
+        times: np.ndarray,
+    ) -> Optional[TraceOutcome]:
+        # One pass over the OrderedDict with LRUCache.insert's eviction loop
+        # inlined: the same hit test, recency moves, victims, promotions and
+        # container counters as one observe per request.  Subclasses may
+        # override the hit/miss handlers, so they keep the generic path.
+        if type(self) is not LRUPolicy:
+            return None
+        cache = self._cache
+        entries = cache._entries
+        move_to_end = entries.move_to_end
+        pop_lru = entries.popitem
+        capacity = cache.capacity
+        used = cache.used
+        chunks_per_file = self._chunks_per_file
+        positions = np.asarray(positions, dtype=np.int64)
+        footprints = np.zeros(len(file_ids), dtype=np.int64)
+        stored = {}
+        for at in np.unique(positions).tolist():
+            footprints[at] = self.footprint(file_ids[at])
+            stored[file_ids[at]] = self._stored_size(file_ids[at])
+        requests = np.asarray(file_ids, dtype=object)[positions].tolist()
+        hits = bytearray(positions.size)
+        promotions = 0
+        victims = 0
+        evicted_chunks = 0
+        for request, file_id in enumerate(requests):
+            if file_id in entries:
+                move_to_end(file_id)
+                hits[request] = 1
+                continue
+            size = stored[file_id]
+            if size > capacity:
+                continue  # larger than the whole cache: clean miss
+            while used + size > capacity and entries:
+                victim, victim_size = pop_lru(last=False)
+                used -= victim_size
+                victims += 1
+                evicted_chunks += chunks_per_file[victim]
+            entries[file_id] = size
+            used += size
+            promotions += 1
+        cache._used = used
+        cache.stats.evictions += victims
+        cache.stats.insertions += promotions
+        hit_mask = np.frombuffer(hits, dtype=bool)
+        cached_chunks = np.where(hit_mask, footprints[positions], 0)
+        stats = self.stats
+        stats.reads += int(positions.size)
+        stats.hits += int(np.count_nonzero(hit_mask))
+        stats.promotions += promotions
+        stats.evicted_chunks += evicted_chunks
+        return TraceOutcome(hit_mask, cached_chunks, promotions, evicted_chunks)

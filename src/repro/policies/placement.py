@@ -4,7 +4,8 @@ The optimize/schedule/simulate pipeline works on a static
 :class:`~repro.core.placement.CachePlacement`; a dynamic policy (LRU, LFU,
 ARC, TTL) has no closed-form placement.  The bridge is a seeded synthetic
 trace: draw a Poisson request stream from the model's arrival rates, replay
-it through the policy, and freeze the final chunk-occupancy snapshot into a
+it through the policy (one ``classify_trace`` pass where the policy has an
+exact bulk path, one ``observe`` per request otherwise), and freeze the final chunk-occupancy snapshot into a
 functional placement with uniform scheduling.  This is exactly how the
 paper treats the Ceph cache tier analytically -- the steady-state content
 of the dynamic cache, evaluated with the Lemma-1 bound.
@@ -49,8 +50,9 @@ def placement_from_trace_replay(
     if total_rate > 0 and target_requests > 0:
         horizon = target_requests / total_rate
         times, positions, file_ids = generate_request_arrays(rates, horizon, rng)
-        for position, time in zip(positions, times):
-            policy.observe(file_ids[int(position)], now=float(time))
+        if policy.classify_trace(file_ids, positions, times) is None:
+            for position, time in zip(positions.tolist(), times.tolist()):
+                policy.observe(file_ids[position], now=time)
     allocation = {
         file_id: min(chunks, model.file(file_id).k)
         for file_id, chunks in policy.occupancy().items()

@@ -15,7 +15,13 @@ from repro.exec import (
     default_cache_dir,
     resolve_cache,
 )
-from repro.exec.cache import experiment_point_key, scenario_key
+from repro.exec import cache as cache_module
+from repro.exec.cache import (
+    experiment_point_key,
+    package_source_hash,
+    scenario_key,
+    source_tree_hash,
+)
 
 
 def test_key_is_order_insensitive_and_deterministic(tmp_path):
@@ -94,6 +100,49 @@ def test_experiment_point_key_invalidation(tmp_path, monkeypatch):
         repro.kernels, "active_kernel_backend_name", lambda: "other-backend"
     )
     assert experiment_point_key(cache, "fig11", 0.5, params) != bumped
+
+
+def _write_tree(root, files):
+    for relative, text in files.items():
+        path = root / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def test_source_tree_hash_tracks_sources_not_location(tmp_path):
+    files = {"pkg/__init__.py": "", "pkg/mod.py": "X = 1\n", "notes.txt": "a"}
+    base = source_tree_hash(_write_tree(tmp_path / "a", files))
+    assert source_tree_hash(_write_tree(tmp_path / "b", files)) == base
+    # Non-Python files do not count; an edit or a rename of a source does.
+    changed = {**files, "notes.txt": "b"}
+    assert source_tree_hash(_write_tree(tmp_path / "c", changed)) == base
+    edited = {**files, "pkg/mod.py": "X = 2\n"}
+    assert source_tree_hash(_write_tree(tmp_path / "d", edited)) != base
+    renamed = {"pkg/__init__.py": "", "pkg/other.py": "X = 1\n"}
+    assert source_tree_hash(_write_tree(tmp_path / "e", renamed)) != base
+
+
+def test_package_source_hash_covers_the_installed_package():
+    assert package_source_hash() == source_tree_hash(Path(repro.__file__).parent)
+
+
+def test_keys_differ_between_source_trees(tmp_path, monkeypatch):
+    # Same version, same scenario, same backend: only the code differs.
+    old = source_tree_hash(_write_tree(tmp_path / "old", {"m.py": "A = 1\n"}))
+    new = source_tree_hash(_write_tree(tmp_path / "new", {"m.py": "A = 2\n"}))
+    cache = ResultCache(tmp_path / "cache")
+    scenario = Scenario(num_files=10, cache_capacity=5)
+    params = {"seed": 2016}
+    keys = {}
+    for label, digest in (("old", old), ("new", new)):
+        monkeypatch.setattr(cache_module, "package_source_hash", lambda: digest)
+        keys[label] = (
+            scenario_key(cache, scenario),
+            experiment_point_key(cache, "fig11", 0.5, params),
+        )
+    assert keys["old"][0] != keys["new"][0]
+    assert keys["old"][1] != keys["new"][1]
 
 
 def test_session_serves_bit_equal_cached_results(tmp_path):

@@ -66,10 +66,23 @@ FAULT_CASES = [
 ]
 
 
+#: LRU and the static functional cache take the policy's exact bulk
+#: ``classify_trace`` path in the epoch engine; the others take the generic
+#: miss-bounded loop.
+POLICY_CASES = [
+    pytest.param("lru", None, id="lru"),
+    pytest.param("functional_static", None, id="functional_static"),
+    pytest.param("lfu", None, id="lfu"),
+    pytest.param("arc", None, id="arc"),
+    pytest.param("ttl", {"ttl": 50_000.0}, id="ttl"),
+]
+
+
 class TestEngineEquivalenceUnderFaults:
+    @pytest.mark.parametrize("policy,params", POLICY_CASES)
     @pytest.mark.parametrize("faults,fault_params", FAULT_CASES)
-    def test_epoch_matches_request_engine(self, faults, fault_params):
-        replay, trace = make_replay()
+    def test_epoch_matches_request_engine(self, faults, fault_params, policy, params):
+        replay, trace = make_replay(policy=policy, params=params)
         reference = replay.run(
             trace, engine="request", seed=3, faults=faults, fault_params=fault_params
         )
